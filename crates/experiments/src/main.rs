@@ -459,6 +459,7 @@ fn run_registry_sweep(
             "planned == naive : yes (bit-identical); {} scenarios -> {} jobs ({} deduped), {} fork group(s) / {} resume(s) / {} fallback(s)\n",
             p.scenarios, p.jobs, p.deduped, p.groups, p.fork_resumes, p.fallbacks
         );
+        println!("{}", out.stats.summary());
     }
     println!("| array | PEs | backend | predicted(s) |");
     println!("|---|---|---|---|");

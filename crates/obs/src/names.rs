@@ -57,8 +57,11 @@ pub const SWEEP_CACHE_EVICTIONS: &str = "wall.sweep.cache.evictions";
 
 /// Worker count the pool actually used for the campaign.
 pub const SWEEP_POOL_WORKERS: &str = "wall.sweep.pool.workers";
-/// Campaign wall time in microseconds.
+/// Campaign wall time in microseconds: the whole sweep call, expansion
+/// and merge included.
 pub const SWEEP_WALL_US: &str = "wall.sweep.wall_us";
+/// Time the campaign planner spent building the plan, in microseconds.
+pub const SWEEP_PLAN_US: &str = "wall.sweep.plan_us";
 
 /// Planner shape counters — deterministic functions of the `SweepSpec`.
 pub const SWEEP_PLAN_JOBS: &str = "sweep.plan.jobs";
@@ -206,6 +209,7 @@ mod tests {
             SWEEP_CACHE_EVICTIONS,
             SWEEP_POOL_WORKERS,
             SWEEP_WALL_US,
+            SWEEP_PLAN_US,
             SHARD_RANGES_DISPATCHED,
             SHARD_RANGES_RETRIED,
             SHARD_WORKERS,

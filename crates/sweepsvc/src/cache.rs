@@ -53,7 +53,7 @@ pub type CachedEval = (f64, Option<PipelineEstimate>);
 
 /// Canonical bit pattern of an `f64` (`-0.0` and `0.0` unify; any other
 /// numeric difference, however small, yields a distinct pattern).
-fn canon(x: f64) -> u64 {
+pub(crate) fn canon(x: f64) -> u64 {
     if x == 0.0 {
         0
     } else {

@@ -188,10 +188,13 @@ pub struct SweepStats {
     pub workers: Vec<WorkerStats>,
     /// Cache counters after the run (cumulative over the engine's life).
     pub cache: CacheStats,
-    /// Wall-clock time of the sweep.
+    /// Wall-clock time of the whole sweep call: expansion, planning,
+    /// evaluation and merge.
     pub wall: Duration,
     /// Planner shape counters (`None` on the naive path).
     pub plan: Option<PlanStats>,
+    /// Wall-clock time of [`ExecPlan::build`] (zero on the naive path).
+    pub plan_wall: Duration,
 }
 
 impl SweepStats {
@@ -214,8 +217,13 @@ impl SweepStats {
         if let Some(p) = &self.plan {
             let _ = writeln!(
                 out,
-                "  plan: {} job(s) ({} deduped), {} fork group(s) sharing {} resume(s), {} fallback(s)",
-                p.jobs, p.deduped, p.groups, p.fork_resumes, p.fallbacks,
+                "  plan: {} job(s) ({} deduped), {} fork group(s) sharing {} resume(s), {} fallback(s), planned in {:.3} ms",
+                p.jobs,
+                p.deduped,
+                p.groups,
+                p.fork_resumes,
+                p.fallbacks,
+                self.plan_wall.as_secs_f64() * 1e3,
             );
         }
         for w in &self.workers {
@@ -303,6 +311,7 @@ impl SweepEngine {
     /// backend against a machine without a simulated half) — call
     /// `validate` first for a recoverable error.
     pub fn run(&self, spec: &SweepSpec) -> SweepOutcome {
+        let t0 = Instant::now();
         if let Err(e) = spec.validate() {
             panic!("invalid sweep spec: {e}");
         }
@@ -343,8 +352,9 @@ impl SweepEngine {
             scenarios: n,
             workers: run.workers,
             cache: self.cache.stats(),
-            wall: run.wall,
+            wall: t0.elapsed(),
             plan: None,
+            plan_wall: Duration::ZERO,
         };
         self.publish_metrics(&stats, &cache_before, &kinds);
         SweepOutcome { results: run.results, stats }
@@ -363,6 +373,7 @@ impl SweepEngine {
     ///
     /// Panics if the spec fails [`SweepSpec::validate`], like `run`.
     pub fn run_planned(&self, spec: &SweepSpec) -> SweepOutcome {
+        let t0 = Instant::now();
         if let Err(e) = spec.validate() {
             panic!("invalid sweep spec: {e}");
         }
@@ -375,7 +386,9 @@ impl SweepEngine {
         if rec.is_enabled() {
             rec.set_process_name(SWEEP_PID, "sweepsvc");
         }
+        let plan_t0 = Instant::now();
         let plan = ExecPlan::build(spec, &scenarios);
+        let plan_wall = plan_t0.elapsed();
 
         // Execution units: one per fork group (the shared prefix runs
         // once inside the unit), one per standalone job. Each unit
@@ -459,7 +472,8 @@ impl SweepEngine {
         // Scatter: job reports back to scenario-id order. Duplicated
         // grid cells receive a clone of their prototype's report —
         // byte-identical to what they would have computed (evaluation is
-        // pure and equal machine specs imply equal report labels).
+        // pure and equal machine specs imply equal report labels). The
+        // last scenario of each job takes the report itself.
         let mut job_reports: Vec<Option<EvaluationReport>> = vec![None; plan.jobs.len()];
         for (j, report) in run.results.into_iter().flatten() {
             job_reports[j] = Some(report);
@@ -467,8 +481,14 @@ impl SweepEngine {
         let results: Vec<ScenarioResult> = scenarios
             .iter()
             .map(|sc| {
-                let report =
-                    job_reports[plan.assignment[sc.id]].clone().expect("every job evaluated");
+                let j = plan.assignment[sc.id];
+                let slot = &mut job_reports[j];
+                let report = if plan.jobs[j].scenarios.last() == Some(&sc.id) {
+                    slot.take()
+                } else {
+                    slot.clone()
+                };
+                let report = report.expect("every job evaluated");
                 ScenarioResult {
                     id: sc.id,
                     machine: sc.machine,
@@ -487,8 +507,9 @@ impl SweepEngine {
             scenarios: n,
             workers: run.workers,
             cache: self.cache.stats(),
-            wall: run.wall,
+            wall: t0.elapsed(),
             plan: Some(plan.stats()),
+            plan_wall,
         };
         self.publish_metrics(&stats, &cache_before, &kinds);
         SweepOutcome { results, stats }
@@ -534,6 +555,7 @@ impl SweepEngine {
             m.counter_add(n::SWEEP_PLAN_GROUPS, p.groups as u64);
             m.counter_add(n::SWEEP_PLAN_FORK_RESUMES, p.fork_resumes);
             m.counter_add(n::SWEEP_PLAN_FALLBACKS, p.fallbacks);
+            m.gauge_set(n::SWEEP_PLAN_US, stats.plan_wall.as_micros() as f64);
         }
         let mut hits = 0;
         let mut misses = 0;
@@ -762,6 +784,35 @@ mod tests {
         // Unbounded engine: the entries gauge stays deterministic.
         assert_eq!(gauge(obs::names::SWEEP_CACHE_ENTRIES), Some(out.stats.cache.entries as f64));
         assert_eq!(gauge(obs::names::SWEEP_CACHE_ENTRIES_WALL), None);
+    }
+
+    #[test]
+    fn sweep_wall_spans_planning_and_evaluation() {
+        let spec = SweepSpec::new()
+            .machine_hw(machines::pentium3_myrinet())
+            .rate_multipliers(vec![1.0, 1.25])
+            .problem("2x2", Sweep3dParams::weak_scaling_50cubed(2, 2))
+            .problem("4x4", Sweep3dParams::weak_scaling_50cubed(4, 4));
+        let obs = obs::Obs::enabled();
+        let t0 = Instant::now();
+        let out = SweepEngine::with_workers(2).with_obs(obs.clone()).run_planned(&spec);
+        let outer = t0.elapsed();
+        let s = &out.stats;
+        // Planning and the pool run are sequential phases of one call.
+        let max_busy = s.workers.iter().map(|w| w.busy).max().unwrap();
+        assert!(s.wall >= s.plan_wall + max_busy, "{s:?}");
+        assert!(s.wall <= outer);
+        let snap = obs.metrics.snapshot();
+        let gauge = |name: &str| snap.get(name).and_then(obs::MetricValue::as_gauge);
+        assert_eq!(gauge(obs::names::SWEEP_WALL_US), Some(s.wall.as_micros() as f64));
+        assert_eq!(gauge(obs::names::SWEEP_PLAN_US), Some(s.plan_wall.as_micros() as f64));
+        assert!(s.summary().contains("planned in"), "{}", s.summary());
+
+        let obs = obs::Obs::enabled();
+        let naive = SweepEngine::with_workers(2).with_obs(obs.clone()).run(&spec).stats;
+        assert_eq!(naive.plan_wall, Duration::ZERO);
+        assert!(obs.metrics.snapshot().get(obs::names::SWEEP_PLAN_US).is_none());
+        assert!(!naive.summary().contains("plan:"));
     }
 
     #[test]

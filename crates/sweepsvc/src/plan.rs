@@ -36,9 +36,33 @@
 //! The plan's shape (jobs, groups, fallbacks) is a deterministic function
 //! of the spec — it never depends on worker count, cache capacity or
 //! timing — so its counters publish as deterministic metrics.
+//!
+//! # Cost
+//!
+//! Planning is expected O(scenarios): a planner that compared every
+//! scenario with every earlier job would cost more than the evaluations
+//! it saves on a procurement-sized grid. Each scenario is looked up by a
+//! bucket key that hashes a *subset* of the fields its dedup equality
+//! compares — backend, canonical problem index, canonical base machine
+//! (forked DES only), and the machine spec's id, analytic name and rate
+//! table, each `f64` through the cache's `canon` (`-0.0` → `0.0`). Equal
+//! scenarios therefore always share a bucket; on a hit the full `==`
+//! runs against the bucket's jobs in ascending order, so the job found
+//! is the lowest-index equal one, exactly as a pairwise scan would find.
+//! Unequal specs that hash alike (a noise-toggled twin) only lengthen a
+//! bucket, and a spec with a NaN field, equal to nothing, never dedups.
+//! The canonical axis indices are computed once per axis; fork groups
+//! key on `(canonical problem, canonical base machine)`.
+//! [`SweepSpec::scenarios`] shares one scaled machine per `(machine,
+//! multiplier)` behind an `Arc`, so expansion scales each pair once.
+
+use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use wavefront_models::Backend;
 
+use crate::cache::canon;
 use crate::spec::{Scenario, SweepSpec};
 
 /// Shape counters of an execution plan (all deterministic functions of
@@ -106,16 +130,170 @@ impl ExecPlan {
     /// Plan the execution of `scenarios` (the expansion of `spec`).
     pub fn build(spec: &SweepSpec, scenarios: &[Scenario]) -> ExecPlan {
         let fork = spec.des_fork;
-        // Workload identity per problem-axis entry, computed once up
-        // front: the dedup loops below compare scenarios pairwise, and
-        // `param_digest` folds the full parameter struct on every call.
+        // Canonical index of every axis entry: the first entry equal to
+        // it. Workloads are equal when their `(kind, param digest)`
+        // identities are. Machines compare with `MachineSpec`'s `==`, so
+        // one with a NaN field equals nothing, itself included: it has no
+        // canonical index and never shares a job or a fork group.
+        let mut first_problem: HashMap<(&str, u64), usize> = HashMap::new();
+        let problem: Vec<usize> = spec
+            .problems
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let identity = (p.workload.kind(), p.workload.param_digest());
+                *first_problem.entry(identity).or_insert(i)
+            })
+            .collect();
+        let machine: Vec<Option<usize>> =
+            spec.machines.iter().map(|m| spec.machines.iter().position(|o| o == m)).collect();
+        // A forked DES evaluation also reads the *base* machine that runs
+        // the prefix.
+        let forked = |sc: &Scenario| sc.backend == Backend::DesSim && fork.is_some();
+
+        // 1. Grid dedup: fold each scenario onto the first earlier job
+        // with the same evaluation input closure. Every backend is a pure
+        // function of (params, machine spec[, base machine]).
+        let same_job = |p: &Scenario, sc: &Scenario| {
+            p.backend == sc.backend
+                && problem[p.problem] == problem[sc.problem]
+                && (!forked(sc)
+                    || (machine[sc.machine].is_some() && machine[p.machine] == machine[sc.machine]))
+                && p.machine_spec == sc.machine_spec
+        };
+        // The bucket key hashes a subset of what `same_job` compares, so
+        // equal scenarios always share a bucket: the machine spec enters
+        // through its id, analytic name and rate table (f64s through
+        // `canon`). A bucket chains its jobs in ascending order, so the
+        // first match is the lowest-index equal job.
+        let bucket_key = |sc: &Scenario| {
+            let mut h = DefaultHasher::new();
+            let base = if forked(sc) { machine[sc.machine] } else { None };
+            (sc.backend, problem[sc.problem], base).hash(&mut h);
+            let m = &sc.machine_spec;
+            m.id.hash(&mut h);
+            m.analytic.name.hash(&mut h);
+            for r in &m.analytic.rates {
+                (canon(r.cells_per_pe), canon(r.mflops)).hash(&mut h);
+            }
+            h.finish()
+        };
+        // bucket key → its first job; job → the next job of its bucket.
+        let mut bucket_head: HashMap<u64, usize> = HashMap::with_capacity(scenarios.len());
+        let mut next_in_bucket: Vec<Option<usize>> = Vec::new();
+        let mut jobs: Vec<PlanJob> = Vec::new();
+        let mut assignment: Vec<usize> = Vec::with_capacity(scenarios.len());
+        for (i, sc) in scenarios.iter().enumerate() {
+            let existing = match bucket_head.entry(bucket_key(sc)) {
+                Entry::Vacant(head) => {
+                    head.insert(jobs.len());
+                    None
+                }
+                Entry::Occupied(head) => {
+                    let mut j = *head.get();
+                    loop {
+                        if same_job(&scenarios[jobs[j].proto], sc) {
+                            break Some(j);
+                        }
+                        match next_in_bucket[j] {
+                            Some(next) => j = next,
+                            None => {
+                                next_in_bucket[j] = Some(jobs.len());
+                                break None;
+                            }
+                        }
+                    }
+                }
+            };
+            match existing {
+                Some(j) => {
+                    jobs[j].scenarios.push(i);
+                    assignment.push(j);
+                }
+                None => {
+                    assignment.push(jobs.len());
+                    next_in_bucket.push(None);
+                    jobs.push(PlanJob { proto: i, scenarios: vec![i] });
+                }
+            }
+        }
+
+        // 2. Fork groups over the deduped jobs (DES backend only, and
+        // only when the spec defines fork semantics), one per
+        // (canonical problem, canonical base machine) cell.
+        let mut groups: Vec<ForkGroup> = Vec::new();
+        let mut cells: HashMap<(usize, usize), usize> = HashMap::new();
+        let mut singles: Vec<usize> = Vec::new();
+        let mut fallbacks = 0u64;
+        for (j, job) in jobs.iter().enumerate() {
+            let sc = &scenarios[job.proto];
+            if !forked(sc) {
+                singles.push(j);
+                continue;
+            }
+            let base = &spec.machines[sc.machine];
+            // 3. Static noise-class probe: an incompatible twin cannot
+            // resume from the base prefix; evaluate it standalone.
+            let compatible = match (base.sim_or_err(), sc.machine_spec.sim_or_err()) {
+                (Ok(b), Ok(m)) => cluster_sim::snapshot_compatible(b, m).is_ok(),
+                _ => false,
+            };
+            if !compatible {
+                fallbacks += 1;
+                singles.push(j);
+                continue;
+            }
+            let mut new_group = || {
+                groups.push(ForkGroup {
+                    machine: sc.machine,
+                    problem: sc.problem,
+                    members: vec![],
+                });
+                groups.len() - 1
+            };
+            let g = match machine[sc.machine] {
+                Some(m) => *cells.entry((problem[sc.problem], m)).or_insert_with(new_group),
+                None => new_group(),
+            };
+            groups[g].members.push(j);
+        }
+
+        ExecPlan { jobs, assignment, groups, singles, fallbacks, fork }
+    }
+
+    /// The plan's shape counters.
+    pub fn stats(&self) -> PlanStats {
+        PlanStats {
+            scenarios: self.assignment.len(),
+            jobs: self.jobs.len(),
+            deduped: self.assignment.len() - self.jobs.len(),
+            groups: self.groups.len(),
+            fork_resumes: self.groups.iter().map(|g| g.members.len() as u64).sum(),
+            fallbacks: self.fallbacks,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use super::*;
+    use pace_core::{AllreduceParams, StencilParams, Sweep3dParams};
+    use proptest::prelude::*;
+    use registry::quoted as machines;
+
+    fn des_machine() -> registry::MachineSpec {
+        registry::builtin("opteron-myrinet").unwrap()
+    }
+
+    /// The pairwise planner the hashed `ExecPlan::build` replaced: every
+    /// scenario scans every earlier job, every DES job every earlier
+    /// group. Kept as the differential oracle.
+    fn build_pairwise(spec: &SweepSpec, scenarios: &[Scenario]) -> ExecPlan {
+        let fork = spec.des_fork;
         let problem_identity: Vec<(&str, u64)> =
             spec.problems.iter().map(|p| (p.workload.kind(), p.workload.param_digest())).collect();
-        // 1. Grid dedup: fold each scenario onto the first earlier
-        // scenario with the same evaluation input closure. Every
-        // backend is a pure function of (params, machine spec); a
-        // forked DES evaluation additionally reads the *base* machine
-        // that runs the prefix.
         let mut jobs: Vec<PlanJob> = Vec::new();
         let mut assignment: Vec<usize> = Vec::with_capacity(scenarios.len());
         for (i, sc) in scenarios.iter().enumerate() {
@@ -139,9 +317,6 @@ impl ExecPlan {
                 }
             }
         }
-
-        // 2. Fork groups over the deduped jobs (DES backend only, and
-        // only when the spec defines fork semantics).
         let mut groups: Vec<ForkGroup> = Vec::new();
         let mut singles: Vec<usize> = Vec::new();
         let mut fallbacks = 0u64;
@@ -152,8 +327,6 @@ impl ExecPlan {
                 continue;
             }
             let base = &spec.machines[sc.machine];
-            // 3. Static noise-class probe: an incompatible twin cannot
-            // resume from the base prefix; evaluate it standalone.
             let compatible = match (base.sim_or_err(), sc.machine_spec.sim_or_err()) {
                 (Ok(b), Ok(m)) => cluster_sim::snapshot_compatible(b, m).is_ok(),
                 _ => false,
@@ -177,31 +350,150 @@ impl ExecPlan {
                 }),
             }
         }
-
         ExecPlan { jobs, assignment, groups, singles, fallbacks, fork }
     }
 
-    /// The plan's shape counters.
-    pub fn stats(&self) -> PlanStats {
-        PlanStats {
-            scenarios: self.assignment.len(),
-            jobs: self.jobs.len(),
-            deduped: self.assignment.len() - self.jobs.len(),
-            groups: self.groups.len(),
-            fork_resumes: self.groups.iter().map(|g| g.members.len() as u64).sum(),
-            fallbacks: self.fallbacks,
+    fn toggle_noise(machine: &mut registry::MachineSpec) {
+        let sim = machine.sim.as_mut().unwrap();
+        sim.noise = if sim.noise.is_none() {
+            cluster_sim::NoiseModel::commodity()
+        } else {
+            cluster_sim::NoiseModel::none()
+        };
+    }
+
+    fn with_first_rate(mflops: f64) -> registry::MachineSpec {
+        let mut m = des_machine();
+        m.analytic.rates[0].mflops = mflops;
+        m
+    }
+
+    /// Machine-axis entries that stress the dedup key: duplicates, a
+    /// file pre-scaled so that (entry 2, x1.0) equals (entry 0, x1.25),
+    /// +0.0 / -0.0 rates that compare equal with different bits, a NaN
+    /// rate that equals nothing, a noise-toggled twin that hashes like
+    /// entry 0 but differs, an analytic-only machine and a second
+    /// built-in.
+    fn machine_pool(k: usize) -> registry::MachineSpec {
+        match k {
+            0 | 1 => des_machine(),
+            2 => registry::MachineSpec::from_json(&des_machine().with_rate_scaled(1.25).to_json())
+                .unwrap(),
+            3 => with_first_rate(0.0),
+            4 => with_first_rate(-0.0),
+            5 => with_first_rate(f64::NAN),
+            6 => {
+                let mut m = des_machine();
+                toggle_noise(&mut m);
+                m
+            }
+            7 => registry::MachineSpec::from_analytic("p3", machines::pentium3_myrinet()),
+            _ => registry::builtin("pentium3-myrinet").unwrap(),
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pace_core::Sweep3dParams;
-    use registry::quoted as machines;
+    const MACHINE_POOL: usize = 9;
 
-    fn des_machine() -> registry::MachineSpec {
-        registry::builtin("opteron-myrinet").unwrap()
+    /// Problem-axis entries: the first two share one workload identity
+    /// under different labels.
+    fn problem_pool(spec: SweepSpec, k: usize) -> SweepSpec {
+        match k {
+            0 => spec.problem("2x2", Sweep3dParams::speculative_20m(2, 2)),
+            1 => spec.problem("2x2 again", Sweep3dParams::speculative_20m(2, 2)),
+            2 => spec.problem("stencil", StencilParams::weak_scaling(2, 2)),
+            _ => spec.problem("cg", AllreduceParams::cg_like(4)),
+        }
+    }
+
+    fn grid(
+        machines: &[usize],
+        multipliers: Vec<f64>,
+        problems: &[usize],
+        backends: Vec<Backend>,
+        fork: Option<u64>,
+    ) -> SweepSpec {
+        let mut spec = SweepSpec::new().rate_multipliers(multipliers).backends(backends);
+        for &k in machines {
+            spec = spec.machine(machine_pool(k));
+        }
+        for &k in problems {
+            spec = problem_pool(spec, k);
+        }
+        spec.des_fork = fork;
+        spec
+    }
+
+    #[test]
+    fn hashed_plan_matches_the_pairwise_oracle_on_every_stress_entry() {
+        let all: Vec<usize> = (0..MACHINE_POOL).collect();
+        for fork in [None, Some(10)] {
+            for backends in
+                [vec![Backend::Pace, Backend::DesSim], vec![Backend::DesSim, Backend::Pace]]
+            {
+                let spec = grid(&all, vec![1.0, 1.25, 1.5], &[0, 1, 2, 3], backends, fork);
+                let scenarios = spec.scenarios();
+                let plan = ExecPlan::build(&spec, &scenarios);
+                assert_eq!(plan, build_pairwise(&spec, &scenarios), "fork {fork:?}");
+                assert!(plan.stats().deduped > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn key_edge_cases_fold_exactly_as_equality_says() {
+        let at = |machine: usize, problem: usize, multiplier: usize| {
+            (machine * 2 + problem) * 2 + multiplier
+        };
+        // Machines 2 (pre-scaled x1.25), 3 (+0.0), 4 (-0.0), 5 (NaN) and
+        // 0; multipliers x1.0 and x1.25; two problems of one identity.
+        let spec = grid(&[2, 3, 4, 5, 0], vec![1.0, 1.25], &[0, 1], vec![Backend::Pace], None);
+        let scenarios = spec.scenarios();
+        let plan = ExecPlan::build(&spec, &scenarios);
+        assert_eq!(plan, build_pairwise(&spec, &scenarios));
+        let job = |i: usize| plan.assignment[i];
+        // Same workload under another label: same job.
+        assert_eq!(job(at(0, 1, 0)), job(at(0, 0, 0)));
+        // -0.0 folds onto +0.0.
+        assert_eq!(job(at(2, 0, 1)), job(at(1, 0, 1)));
+        // The NaN machine never dedups, not even with its own twin.
+        assert_ne!(job(at(3, 1, 0)), job(at(3, 0, 0)));
+        // Cross-cell: (machine 0, x1.25) equals the pre-scaled (machine 2,
+        // x1.0) listed first, so it joins that job.
+        assert_eq!(*scenarios[at(4, 0, 1)].machine_spec, *scenarios[at(0, 0, 0)].machine_spec);
+        assert_eq!(job(at(4, 0, 1)), job(at(0, 0, 0)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// Hashed planning is `==` to the pairwise oracle on random grids
+        /// over the stress pools, with one scenario's twin optionally
+        /// noise-toggled after expansion.
+        #[test]
+        fn hashed_plan_equals_pairwise_oracle(
+            machines in prop::collection::vec(0usize..MACHINE_POOL, 1..5),
+            multipliers in prop::collection::vec(prop::sample::select(vec![1.0, 1.25, 1.5, 0.8]), 1..4),
+            problems in prop::collection::vec(0usize..4, 1..4),
+            backends in prop::sample::select(vec![
+                vec![Backend::Pace],
+                vec![Backend::DesSim],
+                vec![Backend::Pace, Backend::DesSim],
+                vec![Backend::DesSim, Backend::Pace],
+            ]),
+            fork in prop::sample::select(vec![None, Some(10u64)]),
+            toggle in any::<bool>(),
+            victim in any::<usize>(),
+        ) {
+            let spec = grid(&machines, multipliers, &problems, backends, fork);
+            let mut scenarios = spec.scenarios();
+            let n = scenarios.len();
+            if toggle {
+                let sc = &mut scenarios[victim % n];
+                if sc.machine_spec.sim.is_some() {
+                    toggle_noise(Arc::make_mut(&mut sc.machine_spec));
+                }
+            }
+            prop_assert_eq!(ExecPlan::build(&spec, &scenarios), build_pairwise(&spec, &scenarios));
+        }
     }
 
     #[test]
@@ -276,12 +568,7 @@ mod tests {
         let mut scenarios = spec.scenarios();
         // Hand the ×1.5 scenario a noise-toggled twin: the rate axis can
         // never produce this, but the planner must not assume so.
-        let sim = scenarios[1].machine_spec.sim.as_mut().unwrap();
-        sim.noise = if sim.noise.is_none() {
-            cluster_sim::NoiseModel::commodity()
-        } else {
-            cluster_sim::NoiseModel::none()
-        };
+        toggle_noise(Arc::make_mut(&mut scenarios[1].machine_spec));
         let plan = ExecPlan::build(&spec, &scenarios);
         let stats = plan.stats();
         assert_eq!(stats.fallbacks, 1, "the toggled twin cannot share the prefix");

@@ -163,16 +163,32 @@ impl SweepSpec {
 
     /// Expand into concrete scenarios with stable ids:
     /// `id = ((machine_idx * problems + problem_idx) * multipliers + multiplier_idx) * backends + backend_idx`.
+    ///
+    /// Each `(machine, multiplier)` pair is scaled once and its twin is
+    /// shared, behind one [`Arc`], by every scenario of the problem and
+    /// backend axes.
     pub fn scenarios(&self) -> Vec<Scenario> {
         let mut out = Vec::with_capacity(self.len());
+        if self.is_empty() {
+            return out;
+        }
         for (mi, machine) in self.machines.iter().enumerate() {
-            for (pi, prob) in self.problems.iter().enumerate() {
-                for (ri, &mult) in self.rate_multipliers.iter().enumerate() {
-                    // The identity multiplier must evaluate the machine
-                    // exactly as given (bit-for-bit), so skip the scaling
-                    // call rather than multiplying by 1.0.
-                    let scaled =
+            // The identity multiplier must evaluate the machine exactly
+            // as given (bit-for-bit), so skip the scaling call rather than
+            // multiplying by 1.0.
+            let scaled: Vec<Arc<registry::MachineSpec>> = self
+                .rate_multipliers
+                .iter()
+                .map(|&mult| {
+                    let m =
                         if mult == 1.0 { machine.clone() } else { machine.with_rate_scaled(mult) };
+                    Arc::new(m)
+                })
+                .collect();
+            for (pi, prob) in self.problems.iter().enumerate() {
+                for (ri, (&mult, machine_spec)) in
+                    self.rate_multipliers.iter().zip(&scaled).enumerate()
+                {
                     for (bi, &backend) in self.backends.iter().enumerate() {
                         out.push(Scenario {
                             id: out.len(),
@@ -183,7 +199,7 @@ impl SweepSpec {
                             backend,
                             rate_multiplier: mult,
                             label: prob.label.clone(),
-                            machine_spec: scaled.clone(),
+                            machine_spec: Arc::clone(machine_spec),
                             workload: Arc::clone(&prob.workload),
                         });
                     }
@@ -219,8 +235,9 @@ pub struct Scenario {
     pub rate_multiplier: f64,
     /// Problem label.
     pub label: String,
-    /// The (already rate-scaled) registry machine to evaluate against.
-    pub machine_spec: registry::MachineSpec,
+    /// The (already rate-scaled) registry machine to evaluate against,
+    /// shared by every scenario of its `(machine, multiplier)` pair.
+    pub machine_spec: Arc<registry::MachineSpec>,
     /// The workload under prediction.
     pub workload: Arc<dyn Workload>,
 }
@@ -320,7 +337,7 @@ mod tests {
     fn identity_multiplier_keeps_hardware_verbatim() {
         let s = spec();
         let scenarios = s.scenarios();
-        assert_eq!(scenarios[0].machine_spec, s.machines[0]);
+        assert_eq!(*scenarios[0].machine_spec, s.machines[0]);
         assert_ne!(scenarios[1].hw().rates, s.machines[0].analytic.rates);
         // The sim half scales too.
         let scaled_sim = scenarios[1].machine_spec.sim.as_ref().unwrap();

@@ -13,9 +13,11 @@
 //!   and campaigns under eviction pressure (`capacity < grid`) change
 //!   no bits while `evictions > 0`.
 
-use pace_core::Sweep3dParams;
+use std::sync::Arc;
+
+use pace_core::{AllreduceParams, StencilParams, Sweep3dParams};
 use proptest::prelude::*;
-use sweepsvc::{ScenarioResult, SweepEngine, SweepSpec};
+use sweepsvc::{ExecPlan, ScenarioResult, SweepEngine, SweepSpec};
 use wavefront_models::Backend;
 
 /// FNV-1a over every result field that matters, same mixing idiom as
@@ -87,6 +89,60 @@ fn golden_rate_sweep_campaigns_pin_naive_and_planned() {
         assert_eq!(p.groups, 1, "{px}x{py}: one shared prefix");
         assert_eq!(p.fork_resumes, 3, "{px}x{py}: every multiplier resumes from it");
         assert_eq!(p.fallbacks, 0);
+    }
+}
+
+/// The procurement-grid shape: the four built-ins plus two spec files
+/// (one a file copy of `opteron-myrinet`), ten rate multipliers, and 60
+/// processor arrays for each of the wavefront, stencil and allreduce
+/// templates.
+fn procurement_grid() -> SweepSpec {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let mut spec = SweepSpec::new()
+        .rate_multipliers(vec![0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0]);
+    for name in registry::BUILTIN_NAMES {
+        spec = spec.machine_named(name).unwrap();
+    }
+    for file in ["candidate-ib", "opteron-myrinet"] {
+        spec = spec.machine_named(&format!("{root}/assets/machines/{file}.json")).unwrap();
+    }
+    let ladder: Vec<(usize, usize)> = (1..=30).flat_map(|i| [(i, i), (i, i + 1)]).collect();
+    for &(px, py) in &ladder {
+        spec = spec.problem(format!("wavefront-{px}x{py}"), Sweep3dParams::speculative_1b(px, py));
+    }
+    for &(px, py) in &ladder {
+        spec = spec.problem(format!("stencil-{px}x{py}"), StencilParams::weak_scaling(px, py));
+    }
+    for &(px, py) in &ladder {
+        spec = spec.problem(format!("allreduce-{}", px * py), AllreduceParams::cg_like(px * py));
+    }
+    spec
+}
+
+/// Grid-scale plan shape: the file copy of a built-in folds its 1,800
+/// scenarios onto the built-in's jobs, and the expansion scales each
+/// (machine, multiplier) pair once, sharing it across the problem axis.
+#[test]
+fn procurement_grid_plan_shape_is_pinned() {
+    let spec = procurement_grid();
+    let scenarios = spec.scenarios();
+    let p = ExecPlan::build(&spec, &scenarios).stats();
+    assert_eq!(p.scenarios, 10_800);
+    assert_eq!(p.jobs, 9_000);
+    assert_eq!(p.deduped, 1_800);
+    assert_eq!(p.groups, 0);
+    let pairs = spec.machines.len() * spec.rate_multipliers.len();
+    let mut shared: Vec<&Arc<registry::MachineSpec>> = Vec::new();
+    for sc in &scenarios {
+        if !shared.iter().any(|m| Arc::ptr_eq(m, &sc.machine_spec)) {
+            shared.push(&sc.machine_spec);
+        }
+    }
+    assert_eq!(shared.len(), pairs, "one machine per (machine, multiplier) pair");
+    for sc in &scenarios {
+        let first = &scenarios
+            [sc.machine * spec.problems.len() * spec.rate_multipliers.len() + sc.multiplier];
+        assert!(Arc::ptr_eq(&sc.machine_spec, &first.machine_spec), "scenario {}", sc.id);
     }
 }
 

@@ -17,6 +17,14 @@
 //! partners are distinct and every slot its stream uses is in range, so
 //! the engine can resolve slots to dense channel ids without checks on the
 //! hot path.
+//!
+//! Trace generators that know their role structure (SWEEP3D's
+//! `generate_program_set`) build the set directly, one stream per role;
+//! that is the lowering every DES caller runs. [`ProgramSet::from_programs`]
+//! interns an already materialised `Vec<Program>` into the same set — same
+//! streams, same ids, same partner tables — and is kept for callers that
+//! only have per-rank programs and as the reference the role-interned
+//! lowering is tested against.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -335,11 +343,25 @@ impl ProgramSet {
     }
 }
 
+/// Deterministic multiplicative word hash (FxHash's mixing step) over a
+/// stream's [`op_key`]s and its length. It only picks a bucket: a hit is
+/// confirmed by exact key equality, so collisions cost a comparison, never
+/// a wrong merge.
+fn stream_hash(ops: &[SharedOp]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+    ops.iter().fold(ops.len() as u64, |h, op| {
+        let (tag, a, b, c) = op_key(op);
+        mix(mix(mix(mix(h, tag as u64), a), b), c)
+    })
+}
+
 /// Incremental [`ProgramSet`] construction with stream interning.
 #[derive(Debug, Default)]
 pub struct ProgramSetBuilder {
     streams: Vec<Arc<[SharedOp]>>,
-    intern: HashMap<Vec<OpKey>, u32>,
+    /// [`stream_hash`] → ids of the stored streams with that hash.
+    intern: HashMap<u64, Vec<u32>>,
     /// Highest slot index each stream touches, +1 (0 = touches none).
     stream_slots: Vec<usize>,
     ranks: Vec<RankProgram>,
@@ -354,11 +376,18 @@ impl ProgramSetBuilder {
     /// Intern a slot-relative op stream, returning its stream id. Streams
     /// with bit-identical op sequences share one id.
     pub fn intern_ops(&mut self, ops: Vec<SharedOp>) -> u32 {
-        let key: Vec<OpKey> = ops.iter().map(op_key).collect();
-        if let Some(&id) = self.intern.get(&key) {
+        let bucket = self.intern.entry(stream_hash(&ops)).or_default();
+        let streams = &self.streams;
+        let same = |&id: &u32| {
+            let stored = &streams[id as usize];
+            stored.len() == ops.len()
+                && stored.iter().zip(&ops).all(|(a, b)| op_key(a) == op_key(b))
+        };
+        if let Some(&id) = bucket.iter().find(|id| same(id)) {
             return id;
         }
         let id = self.streams.len() as u32;
+        bucket.push(id);
         let slots = ops
             .iter()
             .map(|op| match *op {
@@ -369,7 +398,6 @@ impl ProgramSetBuilder {
             .unwrap_or(0);
         self.streams.push(ops.into());
         self.stream_slots.push(slots);
-        self.intern.insert(key, id);
         id
     }
 
@@ -485,6 +513,71 @@ mod tests {
         let set = ProgramSet::from_programs(&programs);
         assert_eq!(set.num_streams(), 2);
         assert_eq!(set.materialize_all(), programs);
+    }
+
+    fn compute(flops: f64) -> SharedOp {
+        SharedOp::Compute { flops, working_set: 64 }
+    }
+
+    #[test]
+    fn signed_zero_flops_stay_distinct_streams() {
+        let mut b = ProgramSetBuilder::new();
+        let pos = b.intern_ops(vec![compute(0.0)]);
+        let neg = b.intern_ops(vec![compute(-0.0)]);
+        assert_ne!(pos, neg, "+0.0 and -0.0 differ in bits, so must not merge");
+        assert_eq!(b.intern_ops(vec![compute(-0.0)]), neg);
+    }
+
+    #[test]
+    fn nans_with_different_bits_stay_distinct_streams() {
+        let quiet = f64::from_bits(0x7ff8_0000_0000_0000);
+        let payload = f64::from_bits(0x7ff8_0000_0000_0001);
+        let mut b = ProgramSetBuilder::new();
+        let a = b.intern_ops(vec![compute(quiet)]);
+        let c = b.intern_ops(vec![compute(payload)]);
+        assert_ne!(a, c);
+        // Bit-equal NaNs do merge, although NaN != NaN as an f64.
+        assert_eq!(b.intern_ops(vec![compute(quiet)]), a);
+    }
+
+    #[test]
+    fn strict_prefix_stays_distinct_stream() {
+        let long = vec![compute(1.0), SharedOp::Barrier, compute(2.0)];
+        let mut b = ProgramSetBuilder::new();
+        let full = b.intern_ops(long.clone());
+        let prefix = b.intern_ops(long[..2].to_vec());
+        let empty = b.intern_ops(Vec::new());
+        assert_eq!(b.build().num_streams(), 3);
+        assert!(full != prefix && prefix != empty && full != empty);
+    }
+
+    #[test]
+    fn bit_equal_streams_from_different_ranks_merge() {
+        let mut p0 = Program::new();
+        p0.push(Op::Send { to: 1, bytes: 8, tag: 4 });
+        p0.push(Op::Compute { flops: 3.5, working_set: 16 });
+        let mut p1 = Program::new();
+        p1.push(Op::Send { to: 0, bytes: 8, tag: 4 });
+        p1.push(Op::Compute { flops: 3.5, working_set: 16 });
+        let mut b = ProgramSetBuilder::new();
+        let (s0, partners0) = b.intern_program(&p0);
+        let (s1, partners1) = b.intern_program(&p1);
+        assert_eq!(s0, s1, "same slot-relative stream on two ranks");
+        assert_eq!((partners0, partners1), (vec![1], vec![0]));
+    }
+
+    #[test]
+    fn stream_ids_follow_first_insertion_order() {
+        let mut b = ProgramSetBuilder::new();
+        let streams: Vec<Vec<SharedOp>> = (0..20).map(|i| vec![compute(i as f64)]).collect();
+        for (want, ops) in streams.iter().enumerate() {
+            assert_eq!(b.intern_ops(ops.clone()), want as u32);
+        }
+        // Re-interning in reverse order returns the original ids.
+        for (want, ops) in streams.iter().enumerate().rev() {
+            assert_eq!(b.intern_ops(ops.clone()), want as u32);
+        }
+        assert_eq!(b.build().num_streams(), 20);
     }
 
     #[test]

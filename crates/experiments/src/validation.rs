@@ -17,7 +17,7 @@
 use cluster_sim::{Engine, MachineSpec};
 use pace_core::{HardwareModel, Sweep3dModel, Sweep3dParams};
 use registry::sim as sim_machines;
-use sweep3d::trace::{generate_programs, FlopModel};
+use sweep3d::trace::{generate_program_set, FlopModel};
 use sweep3d::ProblemConfig;
 
 use crate::error_pct;
@@ -194,9 +194,9 @@ pub fn measure_row_observed(
     pid: u32,
 ) -> f64 {
     let config = row_config(spec);
-    let programs = generate_programs(&config, flop_model);
+    let set = generate_program_set(&config, flop_model);
     let machine = machine.clone().with_seed(machine.seed ^ row_seed);
-    Engine::new(&machine, programs)
+    Engine::from_set(&machine, set)
         .with_recorder(recorder, pid)
         .run()
         .expect("trace executes without deadlock")

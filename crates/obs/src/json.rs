@@ -40,6 +40,12 @@ pub fn fmt_f64(x: f64) -> String {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound a document of a million
+/// `[` would overflow the stack; every document the workspace reads
+/// (spec files, shard frames, chunk-store files) nests a handful deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -59,10 +65,11 @@ pub enum Json {
 
 impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed).
+    /// Nesting deeper than [`MAX_DEPTH`] is an error naming its offset.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -126,11 +133,15 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value; `depth` counts the arrays/objects enclosing it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -185,6 +196,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
                             .ok_or_else(|| "truncated \\u escape".to_string())?;
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // would also take a sign such as `+7ff`.
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return Err(format!("bad \\u escape at byte {}", *pos - 1));
+                        }
                         let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
                         let code =
                             u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u: {e}"))?;
@@ -196,17 +212,22 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash. Both are
+                // ASCII, so the run ends on a char boundary of the input.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                let text =
+                    std::str::from_utf8(&bytes[*pos..*pos + run]).map_err(|e| e.to_string())?;
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -215,7 +236,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -228,7 +249,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -241,7 +262,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -276,6 +297,41 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"k\":"] {
+            let doc = open.repeat(1_000_000);
+            let err = Json::parse(&doc).unwrap_err();
+            let at = open.len() * MAX_DEPTH;
+            assert!(err.contains(&format!("at byte {at}")), "{err}");
+            assert!(err.contains("nesting"), "{err}");
+        }
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&deep).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_need_exactly_four_hex_digits() {
+        assert_eq!(Json::parse(r#""\u00e9\u0041""#).unwrap().as_str(), Some("\u{e9}A"));
+        assert_eq!(Json::parse(r#""\uABcd""#).unwrap().as_str(), Some("\u{abcd}"));
+        for bad in [r#""\u+7ff""#, r#""\u-001""#, r#""\u 123""#, r#""\u12g4""#, r#""\u12""#] {
+            assert!(Json::parse(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn long_strings_with_multibyte_text_round_trip() {
+        let text = "héllo wörld ∑ 🦀 ".repeat(10_000);
+        let doc = format!("[\"{}\"]", escape(&text));
+        assert_eq!(Json::parse(&doc).unwrap().as_arr().unwrap()[0].as_str(), Some(&*text));
     }
 
     #[test]

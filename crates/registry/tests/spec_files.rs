@@ -207,3 +207,16 @@ fn load_file_errors_name_the_path() {
     let err = registry::load_file("/no/such/machine.json").unwrap_err();
     assert!(err.contains("/no/such/machine.json"), "{err}");
 }
+
+#[test]
+fn deeply_nested_documents_are_errors_not_stack_overflows() {
+    let deep = "[".repeat(1_000_000);
+    let err = MachineSpec::from_json(&deep).unwrap_err();
+    assert!(err.starts_with("machine spec:") && err.contains("nesting"), "{err}");
+    // Nested inside an otherwise valid field, too.
+    let doc = valid_doc().replacen('{', &format!("{{\"pad\": {deep}"), 1);
+    let err = MachineSpec::from_json(&doc).unwrap_err();
+    assert!(err.contains("nesting"), "{err}");
+    let err = registry::WorkloadSpec::from_json(&deep).unwrap_err();
+    assert!(err.starts_with("workload spec:") && err.contains("nesting"), "{err}");
+}

@@ -154,6 +154,12 @@ fn trace_angle_blocks(config: &ProblemConfig) -> Vec<(usize, usize)> {
 }
 
 /// Generate the per-rank programs for a full run of the configured problem.
+///
+/// This is the reference lowering: one materialised `Vec<Op>` per rank,
+/// easy to inspect and to hand-check against [`crate::parallel`]. DES
+/// callers run [`generate_program_set`] instead, which lowers to the same
+/// [`ProgramSet`] that `ProgramSet::from_programs` would intern from this
+/// output without building every rank's stream.
 pub fn generate_programs(config: &ProblemConfig, flops: &FlopModel) -> Vec<Program> {
     config.validate().expect("valid config");
     let topo = Cart2d::new(config.npe_i, config.npe_j);
@@ -174,8 +180,11 @@ type RoleKey = (bool, bool, bool, bool, usize, usize);
 /// distinct streams, so campaign setup is O(roles × ops + ranks), not
 /// O(ranks × ops).
 ///
-/// The decoded per-rank streams are element-wise identical to
-/// [`generate_programs`] — a test pins this for every SWEEP3D role.
+/// This is the lowering every DES caller runs (validation tables,
+/// profiling, campaigns). The set equals `ProgramSet::from_programs` of
+/// [`generate_programs`] — same streams in the same order, same per-rank
+/// partner tables, hence the same channel ids — which a test pins for
+/// every SWEEP3D role and for table-shaped meshes.
 pub fn generate_program_set(config: &ProblemConfig, flops: &FlopModel) -> ProgramSet {
     config.validate().expect("valid config");
     let topo = Cart2d::new(config.npe_i, config.npe_j);
@@ -313,14 +322,16 @@ mod tests {
     /// generator emits — per rank, per op, element-wise — for every
     /// SWEEP3D neighbor role: corner (2 neighbors), edge (3), interior
     /// (4), and the degenerate 1-wide boundary column (≤2 neighbors with
-    /// no E/W exchange).
+    /// no E/W exchange). It must also *be* the set that interning the
+    /// legacy programs yields — same streams, same partner tables — so
+    /// switching a caller between the two is bit-exact down to channel ids.
     #[test]
     fn program_set_decodes_to_legacy_programs_for_all_roles() {
         let fm = flop_model();
         // 3x3 covers corner/edge/interior; 1x4 covers the boundary-column
         // role (no i-direction neighbors at all); 1x1 covers the serial
-        // degenerate case.
-        for (px, py) in [(3, 3), (1, 4), (1, 1)] {
+        // degenerate case; 2x2, 4x7 and 8x14 are validation-table shapes.
+        for (px, py) in [(3, 3), (1, 4), (1, 1), (2, 2), (4, 7), (8, 14)] {
             let c = cfg(px, py);
             let legacy = generate_programs(&c, &fm);
             let set = generate_program_set(&c, &fm);
@@ -331,6 +342,17 @@ mod tests {
                     got.ops(),
                     want.ops(),
                     "{px}x{py} rank {rank}: decoded stream differs from legacy"
+                );
+            }
+            let interned = ProgramSet::from_programs(&legacy);
+            assert_eq!(set.num_streams(), interned.num_streams(), "{px}x{py} streams");
+            assert_eq!(set.stored_ops(), interned.stored_ops(), "{px}x{py} stored ops");
+            for rank in 0..legacy.len() {
+                assert_eq!(set.ops(rank), interned.ops(rank), "{px}x{py} rank {rank} stream");
+                assert_eq!(
+                    set.partners(rank),
+                    interned.partners(rank),
+                    "{px}x{py} rank {rank} partner table"
                 );
             }
         }

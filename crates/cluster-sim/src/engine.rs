@@ -28,6 +28,17 @@
 //!   tag)` FIFO order bit-exactly.
 //! * Hot per-rank state (clock, pc, status) lives in parallel arrays so
 //!   the scheduler loop stays cache-resident at 8000+ ranks.
+//! * Ops are priced once per distinct key: each scheduler invocation
+//!   builds an `OpPricer` ([`crate::pricer`]) from the machine it runs on,
+//!   which memoises compute durations by `(flops, working_set)` and
+//!   network costs by message size in fixed-size direct-mapped tables
+//!   (misses call the unchanged models, so durations are bit-identical).
+//!   The memo lives on the stack of `SeqState::advance`, never in
+//!   `SeqState`: [`Paused::snapshot`] clones that state and
+//!   [`Paused::resume_with`] swaps the machine, so a carried memo would
+//!   price the suffix at the prefix machine's rates. The windowed engine
+//!   keeps one memo per partition worker; there are no per-op cost
+//!   arrays, which would grow memory with the trace.
 //!
 //! The retained pre-optimization scheduler lives in [`crate::reference`];
 //! golden-digest and property tests pin this engine's `RunReport`s to it
@@ -47,6 +58,7 @@ use obs::{Cat, EdgeKind, EdgeRecord, Recorder};
 use crate::error::{SimError, SimResult};
 use crate::machine::MachineSpec;
 use crate::noise::NoiseStream;
+use crate::pricer::OpPricer;
 use crate::program::Program;
 use crate::progset::{ProgramSet, SharedOp};
 use crate::stats::{RankStats, RunReport};
@@ -404,7 +416,7 @@ impl SeqState {
     ) {
         let n = set.num_ranks();
         let machine = ctx.machine;
-        let sharers = ctx.sharers;
+        let mut pricer = OpPricer::new(machine, ctx.sharers);
         let run_factor = ctx.run_factor;
         let eager_limit = ctx.eager_limit;
         let rec = ctx.rec;
@@ -454,7 +466,7 @@ impl SeqState {
                 }
                 match ops[at] {
                     SharedOp::Compute { flops, working_set } => {
-                        let base = machine.cpu.compute_time(flops, working_set, sharers);
+                        let base = pricer.compute_time(flops, working_set);
                         let factor = noise.compute_factor(r) * run_factor;
                         let dur = SimTime::from_secs(base.as_secs() * factor);
                         if let Some(rec) = rec {
@@ -474,7 +486,8 @@ impl SeqState {
                     }
                     SharedOp::Send { slot, bytes, tag } => {
                         let to = partners[slot as usize] as usize;
-                        let overhead = machine.network.sender_overhead(bytes);
+                        let cost = pricer.net(bytes);
+                        let overhead = cost.send_overhead;
                         if let Some(rec) = rec {
                             rec.sim_span(
                                 pid,
@@ -513,8 +526,8 @@ impl SeqState {
                             SimTime::ZERO
                         };
                         let wire_start = clock[r].max(nic_busy[r]).max(posted);
-                        nic_busy[r] = wire_start + machine.network.serialization_time(bytes);
-                        let arrival = wire_start + machine.network.wire_time(bytes) + jitter;
+                        nic_busy[r] = wire_start + cost.serialization;
+                        let arrival = wire_start + cost.wire + jitter;
                         if let Some(rec) = rec {
                             // Dangling channels (validation off) have no
                             // receiver: no causal edge exists.
@@ -582,7 +595,7 @@ impl SeqState {
                                 let msg = q.remove(i).expect("position is in range");
                                 *queued -= 1;
                                 let wait = msg.arrival.saturating_sub(clock[r]);
-                                let overhead = machine.network.receiver_overhead(msg.bytes);
+                                let overhead = pricer.net(msg.bytes).recv_overhead;
                                 if let Some(rec) = rec {
                                     if wait > SimTime::ZERO {
                                         rec.sim_span(
@@ -622,12 +635,10 @@ impl SeqState {
                                     let pend = pq.remove(i).expect("position is in range");
                                     *queued -= 1;
                                     let s_rank = from;
+                                    let cost = pricer.net(pend.bytes);
                                     let wire_start = pend.ready.max(nic_busy[s_rank]).max(clock[r]);
-                                    nic_busy[s_rank] =
-                                        wire_start + machine.network.serialization_time(pend.bytes);
-                                    let arrival = wire_start
-                                        + machine.network.wire_time(pend.bytes)
-                                        + pend.jitter;
+                                    nic_busy[s_rank] = wire_start + cost.serialization;
+                                    let arrival = wire_start + cost.wire + pend.jitter;
                                     // Sender resumes once the buffer is
                                     // reusable; its wait is accounted.
                                     let resume = nic_busy[s_rank];
@@ -673,7 +684,7 @@ impl SeqState {
                                     ready.push_back(s_rank);
                                     // Receiver waits for the wire.
                                     let wait = arrival.saturating_sub(clock[r]);
-                                    let overhead = machine.network.receiver_overhead(pend.bytes);
+                                    let overhead = cost.recv_overhead;
                                     if let Some(rec) = rec {
                                         if wait > SimTime::ZERO {
                                             rec.sim_span(

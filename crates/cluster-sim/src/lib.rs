@@ -39,6 +39,7 @@ pub mod network;
 pub mod noise;
 pub mod opt;
 pub mod par;
+pub mod pricer;
 pub mod program;
 pub mod progset;
 pub mod reference;
@@ -54,6 +55,7 @@ pub use network::{NetworkModel, PiecewiseSegments};
 pub use noise::NoiseModel;
 pub use opt::{ExecOrder, OptConfig, OptStats, OPT_PID};
 pub use par::{zero_lookahead_fallbacks, ParStats, PARTITION_PID};
+pub use pricer::PRICER_SLOTS;
 pub use program::{Op, Program};
 pub use progset::{ProgramSet, ProgramSetBuilder, SharedOp};
 pub use reference::ReferenceEngine;

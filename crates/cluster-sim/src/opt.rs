@@ -81,6 +81,7 @@ use crate::engine::{
 };
 use crate::error::{SimError, SimResult};
 use crate::par::{Bound, Ctx, Part};
+use crate::pricer::OpPricer;
 use crate::progset::SharedOp;
 use crate::stats::{RankStats, RunReport};
 use crate::time::SimTime;
@@ -512,6 +513,9 @@ impl<'m> Engine<'m> {
             rec,
             pid,
         };
+        // One memo serves every partition: this scheduler runs them all
+        // on one thread, over one machine.
+        let mut pricer = OpPricer::new(machine, sharers);
 
         let mut parts: Vec<Part> = (0..p)
             .map(|i| {
@@ -573,9 +577,9 @@ impl<'m> Engine<'m> {
                         rec: s.buf.as_ref(),
                         pid,
                     };
-                    part.run_window(&spec_ctx);
+                    part.run_window(&spec_ctx, &mut pricer);
                 } else {
-                    part.run_window(&ctx);
+                    part.run_window(&ctx, &mut pricer);
                 }
                 if cfg.spec_budget == 0 {
                     continue;
@@ -696,7 +700,7 @@ impl<'m> Engine<'m> {
                         rec: s.buf.as_ref(),
                         pid,
                     };
-                    part.run_window(&spec_ctx);
+                    part.run_window(&spec_ctx, &mut pricer);
                 }
             }
 

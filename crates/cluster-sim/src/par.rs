@@ -73,6 +73,7 @@ use crate::engine::{
 };
 use crate::error::{SimError, SimResult};
 use crate::machine::MachineSpec;
+use crate::pricer::OpPricer;
 use crate::progset::{ProgramSet, SharedOp};
 use crate::stats::{RankStats, RunReport};
 use crate::time::SimTime;
@@ -193,9 +194,8 @@ impl Part {
     /// frontier: each rank runs until it blocks on remote input, parks at
     /// a collective, or completes. Returns the number of rank
     /// activations processed (for telemetry only).
-    pub(crate) fn run_window(&mut self, ctx: &Ctx<'_>) -> usize {
+    pub(crate) fn run_window(&mut self, ctx: &Ctx<'_>, pricer: &mut OpPricer<'_>) -> usize {
         let set = ctx.set;
-        let machine = ctx.machine;
         let rec = ctx.rec;
         let pid = ctx.pid;
         let mut activations = 0usize;
@@ -220,7 +220,7 @@ impl Part {
                 }
                 match ops[at] {
                     SharedOp::Compute { flops, working_set } => {
-                        let base = machine.cpu.compute_time(flops, working_set, ctx.sharers);
+                        let base = pricer.compute_time(flops, working_set);
                         let factor = self.noise.compute_factor(li) * ctx.run_factor;
                         let dur = SimTime::from_secs(base.as_secs() * factor);
                         if let Some(rec) = rec {
@@ -240,7 +240,8 @@ impl Part {
                     }
                     SharedOp::Send { slot, bytes, tag } => {
                         let to = partners[slot as usize] as usize;
-                        let overhead = machine.network.sender_overhead(bytes);
+                        let cost = pricer.net(bytes);
+                        let overhead = cost.send_overhead;
                         if let Some(rec) = rec {
                             rec.sim_span(
                                 pid,
@@ -271,8 +272,7 @@ impl Part {
                                 break;
                             }
                             let wire_start = self.clock[li].max(self.nic_busy[li]);
-                            self.nic_busy[li] =
-                                wire_start + machine.network.serialization_time(bytes);
+                            self.nic_busy[li] = wire_start + cost.serialization;
                             self.stats[li].messages_sent += 1;
                             self.stats[li].bytes_sent += bytes as u64;
                             self.pc[li] += 1;
@@ -297,9 +297,8 @@ impl Part {
                                 SimTime::ZERO
                             };
                             let wire_start = self.clock[li].max(self.nic_busy[li]).max(posted);
-                            self.nic_busy[li] =
-                                wire_start + machine.network.serialization_time(bytes);
-                            let arrival = wire_start + machine.network.wire_time(bytes) + jitter;
+                            self.nic_busy[li] = wire_start + cost.serialization;
+                            let arrival = wire_start + cost.wire + jitter;
                             if let Some(rec) = rec {
                                 rec.sim_edge(EdgeRecord {
                                     pid,
@@ -369,9 +368,8 @@ impl Part {
                                 break;
                             }
                             let wire_start = self.clock[li].max(self.nic_busy[li]);
-                            self.nic_busy[li] =
-                                wire_start + machine.network.serialization_time(bytes);
-                            let arrival = wire_start + machine.network.wire_time(bytes) + jitter;
+                            self.nic_busy[li] = wire_start + cost.serialization;
+                            let arrival = wire_start + cost.wire + jitter;
                             if let Some(rec) = rec {
                                 // Below the eager limit the receiver never
                                 // gates, so the edge is fully determined
@@ -407,7 +405,7 @@ impl Part {
                             Some(i) => {
                                 let msg = q.remove(i).expect("position is in range");
                                 let wait = msg.arrival.saturating_sub(self.clock[li]);
-                                let overhead = machine.network.receiver_overhead(msg.bytes);
+                                let overhead = pricer.net(msg.bytes).recv_overhead;
                                 if let Some(rec) = rec {
                                     if wait > SimTime::ZERO {
                                         rec.sim_span(
@@ -444,6 +442,7 @@ impl Part {
                                 if let Some(i) = pq.iter().position(|p| p.pend.tag == tag) {
                                     let entry = pq.remove(i).expect("position is in range");
                                     let pend = entry.pend;
+                                    let cost = pricer.net(pend.bytes);
                                     let arrival = match entry.src_nic_busy {
                                         None => {
                                             // Local sender: complete the
@@ -454,11 +453,8 @@ impl Part {
                                                 .ready
                                                 .max(self.nic_busy[ls])
                                                 .max(self.clock[li]);
-                                            self.nic_busy[ls] = wire_start
-                                                + machine.network.serialization_time(pend.bytes);
-                                            let arrival = wire_start
-                                                + machine.network.wire_time(pend.bytes)
-                                                + pend.jitter;
+                                            self.nic_busy[ls] = wire_start + cost.serialization;
+                                            let arrival = wire_start + cost.wire + pend.jitter;
                                             let resume = self.nic_busy[ls];
                                             let send_wait = resume.saturating_sub(pend.ready);
                                             if let Some(rec) = rec {
@@ -508,11 +504,8 @@ impl Part {
                                             // the resume time back.
                                             let wire_start =
                                                 pend.ready.max(snap).max(self.clock[li]);
-                                            let resume = wire_start
-                                                + machine.network.serialization_time(pend.bytes);
-                                            let arrival = wire_start
-                                                + machine.network.wire_time(pend.bytes)
-                                                + pend.jitter;
+                                            let resume = wire_start + cost.serialization;
+                                            let arrival = wire_start + cost.wire + pend.jitter;
                                             if let Some(rec) = rec {
                                                 // The receiver-side handshake
                                                 // computes values identical to
@@ -548,7 +541,7 @@ impl Part {
                                         }
                                     };
                                     let wait = arrival.saturating_sub(self.clock[li]);
-                                    let overhead = machine.network.receiver_overhead(pend.bytes);
+                                    let overhead = cost.recv_overhead;
                                     if let Some(rec) = rec {
                                         if wait > SimTime::ZERO {
                                             rec.sim_span(
@@ -856,6 +849,7 @@ impl<'m> Engine<'m> {
                 let ctx = &ctx;
                 let panic_box = &panic_box;
                 scope.spawn(move || {
+                    let mut pricer = OpPricer::new(ctx.machine, ctx.sharers);
                     let mut window = 0u64;
                     loop {
                         barrier.wait();
@@ -865,7 +859,7 @@ impl<'m> Engine<'m> {
                         window += 1;
                         let t0 = Instant::now();
                         let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            parts[i].lock().unwrap().run_window(ctx)
+                            parts[i].lock().unwrap().run_window(ctx, &mut pricer)
                         }));
                         match ran {
                             Ok(activations) => {

@@ -167,9 +167,14 @@ where
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("pool worker panicked")).collect::<Vec<_>>()
+        // Re-raise a worker's panic with its own payload, so the caller
+        // sees the real cause rather than an opaque join error.
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect::<Vec<_>>()
     })
-    .expect("pool scope");
+    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
 
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let mut worker_stats = Vec::with_capacity(workers);
@@ -192,6 +197,23 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn worker_panic_surfaces_its_own_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            run_ordered((0..16u32).collect(), 2, |&x| {
+                if x == 5 {
+                    std::panic::panic_any(String::from("virtual time overflow"));
+                }
+                x
+            })
+        });
+        let payload = caught.expect_err("the panicking item must propagate");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("virtual time overflow")
+        );
+    }
 
     #[test]
     fn empty_batch() {
